@@ -52,13 +52,6 @@ fn bench_spatial(c: &mut Criterion) {
                     .len()
             })
         });
-        group.bench_function(format!("build_bottomup_m{m}"), |b| {
-            b.iter(|| {
-                PrQuadtree::build_bottomup(Rect::unit(), m, black_box(points.iter().copied()))
-                    .unwrap()
-                    .len()
-            })
-        });
     }
 
     // Direct bottom-up freeze: points straight to the Morton-packed

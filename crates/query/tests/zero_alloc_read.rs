@@ -53,7 +53,7 @@ fn snapshot_read_path_does_not_allocate() {
     use popan_query::{Snapshot, SnapshotPublisher};
     use popan_rng::rngs::StdRng;
     use popan_rng::{Rng, SeedableRng};
-    use popan_spatial::QueryScratch;
+    use popan_spatial::{CostBudget, QueryScratch};
 
     let snapshot_of = |seed: u64| {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -71,7 +71,10 @@ fn snapshot_read_path_does_not_allocate() {
     let mut reader = publisher.subscribe();
 
     // The measured batch: a mix of range, count and k-NN queries plus a
-    // refresh per iteration, written through reusable buffers.
+    // refresh per iteration, written through reusable buffers. Each
+    // query also runs in its budgeted form under an unbounded budget
+    // (complete answers) and a starving one (partial answers, so the
+    // truncation bound and prefix trim run too).
     let mut rng = StdRng::seed_from_u64(2);
     let queries: Vec<(Rect, Point2, usize)> = (0..64)
         .map(|i| {
@@ -101,6 +104,14 @@ fn snapshot_read_path_does_not_allocate() {
             *sink = sink.wrapping_add(snap.count_with(rect, scratch));
             snap.knn_into(target, *k, scratch, out);
             *sink = sink.wrapping_add(out.len());
+            for budget in [CostBudget::unbounded(), CostBudget::new(2, 8)] {
+                let outcome = snap.range_bounded_into(rect, &budget, scratch, out);
+                *sink = sink.wrapping_add(out.len() + usize::from(outcome.is_complete()));
+                let (n, outcome) = snap.count_bounded_with(rect, &budget, scratch);
+                *sink = sink.wrapping_add(n + usize::from(outcome.is_complete()));
+                let outcome = snap.knn_bounded_into(target, *k, &budget, scratch, out);
+                *sink = sink.wrapping_add(out.len() + usize::from(outcome.is_complete()));
+            }
         }
     };
 
@@ -123,8 +134,8 @@ fn snapshot_read_path_does_not_allocate() {
     assert_eq!(reader.epoch(), 1, "batch must have absorbed the new epoch");
     assert_eq!(
         allocs, 0,
-        "snapshot read path allocated {allocs} times; refresh + range/count/knn must be \
-         allocation-free once warm"
+        "snapshot read path allocated {allocs} times; refresh + range/count/knn and their \
+         budgeted forms must be allocation-free once warm"
     );
 
     // Sanity: the counter does observe this binary's allocations — the

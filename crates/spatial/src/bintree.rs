@@ -59,19 +59,6 @@ impl Bintree {
         Ok(t)
     }
 
-    /// Builds via the Morton-radix bottom-up bulk path — bit-identical
-    /// to [`Bintree::build`], with zero per-point descent on grid-exact
-    /// regions (see `popan_geom::morton::morton_grid_exact`).
-    pub fn build_bottomup(
-        region: Rect,
-        capacity: usize,
-        points: impl IntoIterator<Item = Point2>,
-    ) -> Result<Self, TreeError> {
-        let mut t = Self::new(region, capacity)?;
-        t.tree.bulk_fill_bottomup(points.into_iter().collect())?;
-        Ok(t)
-    }
-
     /// The region covered.
     pub fn region(&self) -> Rect {
         self.tree.region()

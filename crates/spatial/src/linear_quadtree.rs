@@ -81,13 +81,6 @@ pub struct QueryScratch {
     /// k-NN candidate list: `(distance², point)` sorted by the canonical
     /// k-NN order.
     best: Vec<(f64, Point2)>,
-    /// Leaves scanned by the current *bounded* query: `(leaf index,
-    /// covered-by-span)`. The budgeted paths replay this list to trim a
-    /// partial answer to its guaranteed canonical prefix.
-    visited: Vec<(u32, bool)>,
-    /// Staging buffer for the bounded count path (it must materialize
-    /// candidates to trim them against the truncation bound).
-    staged: Vec<Point2>,
 }
 
 impl QueryScratch {
@@ -253,7 +246,7 @@ struct LeafEntry {
 }
 
 /// Incremental slab accumulator for [`LinearQuadtree::assemble`]: the
-/// bottom-up freeze emits leaves in ascending Morton order and points
+/// direct freeze emits leaves in ascending Morton order and points
 /// grouped by leaf, exactly the frozen layout, so assembly is a move.
 #[derive(Debug, Default)]
 pub(crate) struct LinearBuilder {
@@ -369,12 +362,12 @@ impl LinearQuadtree {
         })
     }
 
-    /// Crate-internal assembly for the bottom-up freeze path
-    /// (`arena::bottomup`), which emits leaves already in ascending
-    /// Morton order and so skips both the pointer tree and the
-    /// `from_tree` sort. The builder enforces nothing at push time;
-    /// [`LinearQuadtree::check_invariants`] and the differential suites
-    /// pin the result against the `from_tree` route.
+    /// Crate-internal assembly for the direct freeze path
+    /// ([`LinearQuadtree::from_points_direct`]), which emits leaves
+    /// already in ascending Morton order and so skips both the pointer
+    /// tree and the `from_tree` sort. The builder enforces nothing at
+    /// push time; [`LinearQuadtree::check_invariants`] and the
+    /// differential suites pin the result against the `from_tree` route.
     pub(crate) fn assemble(builder: LinearBuilder, region: Rect) -> Self {
         let LinearBuilder {
             mut leaves,
@@ -473,7 +466,9 @@ impl LinearQuadtree {
     }
 
     /// Appends all stored points inside `query` to `out` (cleared
-    /// first), in leaf order.
+    /// first), in leaf order: the budgeted sweep
+    /// ([`LinearQuadtree::range_query_bounded_into`]) under
+    /// [`CostBudget::unbounded`], without the canonical sort.
     ///
     /// The query rectangle is decomposed into Morton spans
     /// ([`morton::decompose_ranges_into`]); a single monotone cursor
@@ -489,11 +484,12 @@ impl LinearQuadtree {
         out: &mut Vec<Point2>,
     ) {
         out.clear();
-        self.for_range_leaves(
+        self.range_sweep(
             query,
+            &CostBudget::unbounded(),
             scratch,
-            |points, out| out.extend_from_slice(points),
-            |points, query, out| out.extend(points.iter().filter(|p| query.contains(p)).copied()),
+            copy_all,
+            copy_inside,
             out,
         );
     }
@@ -505,36 +501,43 @@ impl LinearQuadtree {
         self.count_in_range_with(query, &mut QueryScratch::new())
     }
 
-    /// Counts stored points inside `query`. Leaves wholly inside a
-    /// covered span are counted off the flat offsets — their points are
-    /// never touched — so counts over large rectangles cost O(spans ·
-    /// log leaves + boundary points).
+    /// Counts stored points inside `query`: the budgeted sweep under
+    /// [`CostBudget::unbounded`]. Leaves wholly inside a covered span
+    /// are counted off the flat offsets — their points are never
+    /// touched — so counts over large rectangles cost O(spans · log
+    /// leaves + boundary points).
     pub fn count_in_range_with(&self, query: &Rect, scratch: &mut QueryScratch) -> usize {
         let mut count = 0usize;
-        self.for_range_leaves(
+        self.range_sweep(
             query,
+            &CostBudget::unbounded(),
             scratch,
-            |points, count| *count += points.len(),
-            |points, query, count| *count += points.iter().filter(|p| query.contains(p)).count(),
+            count_all,
+            count_inside,
             &mut count,
         );
         count
     }
 
-    /// The shared span-decomposed leaf sweep behind the range paths:
-    /// calls `bulk` for leaves wholly inside a covered span and `filter`
-    /// for boundary leaves, each leaf exactly once, in ascending Morton
-    /// order.
-    fn for_range_leaves<Acc>(
+    /// The span-decomposed leaf sweep behind every range path: calls
+    /// `bulk` for leaves wholly inside a covered span and `filter` for
+    /// boundary leaves, each leaf at most once, in ascending Morton
+    /// order, charging each leaf to `budget` before reading it. Returns
+    /// the work performed and, when the budget ran out, the resume point
+    /// `(span index, leaf cursor)` of the first leaf it could not afford.
+    fn range_sweep<Acc>(
         &self,
         query: &Rect,
+        budget: &CostBudget,
         scratch: &mut QueryScratch,
         mut bulk: impl FnMut(&[Point2], &mut Acc),
         mut filter: impl FnMut(&[Point2], &Rect, &mut Acc),
         acc: &mut Acc,
-    ) {
+    ) -> (QueryCost, Option<(usize, usize)>) {
+        let mut cost = QueryCost::default();
         if !self.region.overlaps(query) {
-            return;
+            scratch.spans.clear();
+            return (cost, None);
         }
         morton::decompose_ranges_into(
             query,
@@ -543,14 +546,22 @@ impl LinearQuadtree {
             &mut scratch.spans,
         );
         let mut cursor = 0usize;
-        for span in &scratch.spans {
+        for (si, span) in scratch.spans.iter().enumerate() {
             // Skip leaves that end before this span starts. The cursor
             // never moves backwards: spans ascend and a leaf processed
             // under an earlier span was filtered against the full query,
             // so re-visiting it would double-report.
-            cursor += self.leaves[cursor..].partition_point(|l| l.code_hi <= span.lo);
-            while cursor < self.leaves.len() && self.leaves[cursor].code_lo < span.hi {
-                let l = &self.leaves[cursor];
+            let rest = self.leaves.get(cursor..).unwrap_or_default();
+            cursor += rest.partition_point(|l| l.code_hi <= span.lo);
+            while let Some(l) = self.leaves.get(cursor).filter(|l| l.code_lo < span.hi) {
+                let pts = u64::from(l.points_len);
+                if cost.leaf_visits + 1 > budget.leaf_visits
+                    || cost.point_visits + pts > budget.point_visits
+                {
+                    return (cost, Some((si, cursor)));
+                }
+                cost.leaf_visits += 1;
+                cost.point_visits += pts;
                 if span.covered && span.lo <= l.code_lo && l.code_hi <= span.hi {
                     // Covered span ⊇ leaf block: every point matches.
                     bulk(self.leaf_points(l), acc);
@@ -560,6 +571,7 @@ impl LinearQuadtree {
                 cursor += 1;
             }
         }
+        (cost, None)
     }
 
     /// The `k` stored points nearest to `target` under the canonical
@@ -574,7 +586,9 @@ impl LinearQuadtree {
 
     /// Writes the `k` stored points nearest to `target` into `out`
     /// (cleared first), nearest first; fewer when the snapshot holds
-    /// fewer than `k` points.
+    /// fewer than `k` points. This is the budgeted scan
+    /// ([`LinearQuadtree::k_nearest_bounded_into`]) under
+    /// [`CostBudget::unbounded`].
     ///
     /// Ordering and tie-breaking follow [`knn_cmp`]: squared distance,
     /// then canonical point order — fully deterministic even for
@@ -591,38 +605,67 @@ impl LinearQuadtree {
         out: &mut Vec<Point2>,
     ) {
         out.clear();
+        self.knn_scan(target, k, &CostBudget::unbounded(), scratch);
+        out.extend(scratch.best.iter().map(|&(_, p)| p));
+    }
+
+    /// The leaf-scan behind both k-NN paths: the seed leaf (the one
+    /// containing `target`) first, then every other leaf in Morton
+    /// order. A leaf whose block cannot strictly beat the current k-th
+    /// candidate is pruned (no slab traffic, not charged); every other
+    /// leaf is charged to `budget` before its points are folded into
+    /// `scratch.best`. Returns the work performed and, when the budget
+    /// ran out, the index of the first leaf it could not afford.
+    fn knn_scan(
+        &self,
+        target: &Point2,
+        k: usize,
+        budget: &CostBudget,
+        scratch: &mut QueryScratch,
+    ) -> (QueryCost, Option<usize>) {
         scratch.best.clear();
+        let mut cost = QueryCost::default();
         if k == 0 || self.points.is_empty() {
-            return;
+            return (cost, None);
         }
         scratch.best.reserve(k + 1);
+        // Charges and scans one leaf; `None` when the budget cannot
+        // afford it, else the new k-th candidate distance — infinite
+        // until the list is full, so nothing is pruned before then (the
+        // seed in particular never is).
+        let visit = |l: &LeafEntry, cost: &mut QueryCost, best: &mut Vec<(f64, Point2)>| {
+            let pts = u64::from(l.points_len);
+            if cost.leaf_visits + 1 > budget.leaf_visits
+                || cost.point_visits + pts > budget.point_visits
+            {
+                return None;
+            }
+            cost.leaf_visits += 1;
+            cost.point_visits += pts;
+            Self::knn_scan_leaf(self.leaf_points(l), target, k, best);
+            Some(match best.last() {
+                Some(&(d, _)) if best.len() == k => d,
+                _ => f64::INFINITY,
+            })
+        };
         let seed = self.leaf_index_of(target);
-        if let Some(i) = seed {
-            Self::knn_scan_leaf(
-                self.leaf_points(&self.leaves[i]),
-                target,
-                k,
-                &mut scratch.best,
-            );
+        let mut worst = f64::INFINITY;
+        if let Some((i, l)) = seed.and_then(|i| self.leaves.get(i).map(|l| (i, l))) {
+            match visit(l, &mut cost, &mut scratch.best) {
+                Some(w) => worst = w,
+                None => return (cost, Some(i)),
+            }
         }
-        for i in 0..self.leaves.len() {
-            if Some(i) == seed {
+        for (i, (l, block)) in self.leaves.iter().zip(&self.blocks).enumerate() {
+            if Some(i) == seed || min_dist_squared(block, target) > worst {
                 continue;
             }
-            if scratch.best.len() == k {
-                let worst = scratch.best[k - 1].0;
-                if min_dist_squared(&self.blocks[i], target) > worst {
-                    continue;
-                }
+            match visit(l, &mut cost, &mut scratch.best) {
+                Some(w) => worst = w,
+                None => return (cost, Some(i)),
             }
-            Self::knn_scan_leaf(
-                self.leaf_points(&self.leaves[i]),
-                target,
-                k,
-                &mut scratch.best,
-            );
         }
-        out.extend(scratch.best.iter().map(|&(_, p)| p));
+        (cost, None)
     }
 
     /// Folds one leaf's points into the sorted candidate list.
@@ -648,11 +691,11 @@ impl LinearQuadtree {
     /// `out` is always sorted by [`Point2::canonical_cmp`]. On
     /// [`BoundedOutcome::Partial`], every returned point is a true
     /// answer and *no* canonically-smaller answer is missing: the sweep
-    /// records which candidate leaves went unexamined, takes the
-    /// canonically smallest possible answer point any of them could
-    /// contain (the canonical-min corner of `block ∩ query`), and trims
-    /// the collected answers strictly below that bound. The result is
-    /// exactly the full answer's canonical prefix below the bound.
+    /// stops at the first leaf it cannot afford, takes the canonically
+    /// smallest possible answer point any unexamined candidate leaf
+    /// could contain (the canonical-min corner of `block ∩ query`), and
+    /// trims the collected answers strictly below that bound. The result
+    /// is exactly the full answer's canonical prefix below the bound.
     pub fn range_query_bounded_into(
         &self,
         query: &Rect,
@@ -661,30 +704,19 @@ impl LinearQuadtree {
         out: &mut Vec<Point2>,
     ) -> BoundedOutcome {
         out.clear();
-        let exhausted = self.bounded_sweep(query, budget, scratch, out);
+        let (visited, exhausted) =
+            self.range_sweep(query, budget, scratch, copy_all, copy_inside, out);
         out.sort_unstable_by(Point2::canonical_cmp);
-        let mut visited = QueryCost::default();
-        for &(i, _) in &scratch.visited {
-            visited.leaf_visits += 1;
-            visited.point_visits += u64::from(self.leaves[i as usize].points_len);
-        }
-        match exhausted {
+        match exhausted.and_then(|resume| self.truncation_bound(query, scratch, resume)) {
+            // Every unexamined leaf was outside the query: the answer is
+            // in fact complete.
             None => BoundedOutcome::Complete { visited },
-            Some(resume) => {
-                let (bound, truncated) = self.truncation_bound(query, scratch, resume);
-                match bound {
-                    // Every unexamined leaf was outside the query: the
-                    // answer is in fact complete.
-                    None => BoundedOutcome::Complete { visited },
-                    Some(bound) => {
-                        let keep =
-                            out.partition_point(|p| p.canonical_cmp(&bound) == Ordering::Less);
-                        out.truncate(keep);
-                        BoundedOutcome::Partial {
-                            visited,
-                            truncated_spans: truncated,
-                        }
-                    }
+            Some((bound, truncated_spans)) => {
+                let keep = out.partition_point(|p| p.canonical_cmp(&bound) == Ordering::Less);
+                out.truncate(keep);
+                BoundedOutcome::Partial {
+                    visited,
+                    truncated_spans,
                 }
             }
         }
@@ -693,122 +725,73 @@ impl LinearQuadtree {
     /// Budgeted count: returns `(count, outcome)` where on
     /// [`BoundedOutcome::Partial`] the count equals
     /// `range_query_bounded_into(..).len()` under the same budget — the
-    /// size of the guaranteed canonical prefix. The recount after
-    /// exhaustion re-reads the already-visited leaves, so a partial
-    /// count costs at most twice the point budget.
+    /// size of the guaranteed canonical prefix. No answer is
+    /// materialized: after exhaustion the sweep re-runs with a budget
+    /// equal to the work already spent, which stops at the same leaf,
+    /// and counts the answers canonically below the truncation bound. A
+    /// partial count therefore costs at most twice the point budget.
     pub fn count_in_range_bounded_with(
         &self,
         query: &Rect,
         budget: &CostBudget,
         scratch: &mut QueryScratch,
     ) -> (usize, BoundedOutcome) {
-        let mut staged = std::mem::take(&mut scratch.staged);
-        staged.clear();
-        let exhausted = self.bounded_sweep(query, budget, scratch, &mut staged);
-        let mut visited = QueryCost::default();
-        for &(i, _) in &scratch.visited {
-            visited.leaf_visits += 1;
-            visited.point_visits += u64::from(self.leaves[i as usize].points_len);
-        }
-        let outcome = match exhausted {
-            None => (staged.len(), BoundedOutcome::Complete { visited }),
-            Some(resume) => {
-                let (bound, truncated) = self.truncation_bound(query, scratch, resume);
-                match bound {
-                    None => (staged.len(), BoundedOutcome::Complete { visited }),
-                    Some(bound) => {
-                        let kept = staged
-                            .iter()
-                            .filter(|p| p.canonical_cmp(&bound) == Ordering::Less)
-                            .count();
-                        (
-                            kept,
-                            BoundedOutcome::Partial {
-                                visited,
-                                truncated_spans: truncated,
-                            },
-                        )
-                    }
-                }
-            }
+        let mut count = 0usize;
+        let (visited, exhausted) =
+            self.range_sweep(query, budget, scratch, count_all, count_inside, &mut count);
+        let Some((bound, truncated_spans)) =
+            exhausted.and_then(|resume| self.truncation_bound(query, scratch, resume))
+        else {
+            return (count, BoundedOutcome::Complete { visited });
         };
-        scratch.staged = staged;
-        outcome
-    }
-
-    /// The shared budgeted sweep: visits candidate leaves in Morton
-    /// order, appending matches to `out` and recording visited leaves in
-    /// `scratch.visited`, until the budget runs out. Returns the resume
-    /// point `(span index, leaf cursor)` on exhaustion.
-    fn bounded_sweep(
-        &self,
-        query: &Rect,
-        budget: &CostBudget,
-        scratch: &mut QueryScratch,
-        out: &mut Vec<Point2>,
-    ) -> Option<(usize, usize)> {
-        scratch.visited.clear();
-        if !self.region.overlaps(query) {
-            scratch.spans.clear();
-            return None;
-        }
-        morton::decompose_ranges_into(
+        let below = |p: &&Point2| p.canonical_cmp(&bound) == Ordering::Less;
+        let mut kept = 0usize;
+        self.range_sweep(
             query,
-            &self.region,
-            RANGE_DECOMPOSE_DEPTH,
-            &mut scratch.spans,
+            &CostBudget::new(visited.leaf_visits, visited.point_visits),
+            scratch,
+            |points, kept| *kept += points.iter().filter(below).count(),
+            |points, query, kept| {
+                *kept += points
+                    .iter()
+                    .filter(|p| query.contains(p))
+                    .filter(below)
+                    .count();
+            },
+            &mut kept,
         );
-        let mut cost = QueryCost::default();
-        let mut cursor = 0usize;
-        for si in 0..scratch.spans.len() {
-            let span = scratch.spans[si];
-            cursor += self.leaves[cursor..].partition_point(|l| l.code_hi <= span.lo);
-            while cursor < self.leaves.len() && self.leaves[cursor].code_lo < span.hi {
-                let l = &self.leaves[cursor];
-                let pts = u64::from(l.points_len);
-                if cost.leaf_visits + 1 > budget.leaf_visits
-                    || cost.point_visits + pts > budget.point_visits
-                {
-                    return Some((si, cursor));
-                }
-                cost.leaf_visits += 1;
-                cost.point_visits += pts;
-                let covered = span.covered && span.lo <= l.code_lo && l.code_hi <= span.hi;
-                if covered {
-                    out.extend_from_slice(self.leaf_points(l));
-                } else {
-                    out.extend(
-                        self.leaf_points(l)
-                            .iter()
-                            .filter(|p| query.contains(p))
-                            .copied(),
-                    );
-                }
-                scratch.visited.push((cursor as u32, covered));
-                cursor += 1;
-            }
-        }
-        None
+        (
+            kept,
+            BoundedOutcome::Partial {
+                visited,
+                truncated_spans,
+            },
+        )
     }
 
     /// Enumerates the candidate leaves an exhausted sweep never reached
     /// (resuming at `(span index, leaf cursor)`) and returns the
     /// canonically smallest point any of them could contribute, plus
-    /// their count. `None` bound means no unexamined leaf overlaps the
-    /// query — the answer was complete after all.
+    /// their count. `None` means no unexamined leaf overlaps the query —
+    /// the answer was complete after all.
     fn truncation_bound(
         &self,
         query: &Rect,
         scratch: &QueryScratch,
         resume: (usize, usize),
-    ) -> (Option<Point2>, usize) {
+    ) -> Option<(Point2, usize)> {
         let (si, mut cursor) = resume;
         let mut bound: Option<Point2> = None;
         let mut truncated = 0usize;
-        for span in &scratch.spans[si..] {
-            cursor += self.leaves[cursor..].partition_point(|l| l.code_hi <= span.lo);
-            while cursor < self.leaves.len() && self.leaves[cursor].code_lo < span.hi {
-                let b = &self.blocks[cursor];
+        for span in scratch.spans.get(si..).unwrap_or_default() {
+            let rest = self.leaves.get(cursor..).unwrap_or_default();
+            cursor += rest.partition_point(|l| l.code_hi <= span.lo);
+            while let Some((_, b)) = self
+                .leaves
+                .get(cursor)
+                .zip(self.blocks.get(cursor))
+                .filter(|(l, _)| l.code_lo < span.hi)
+            {
                 if b.overlaps(query) {
                     truncated += 1;
                     let corner = Point2::new(
@@ -823,15 +806,23 @@ impl LinearQuadtree {
                 cursor += 1;
             }
         }
-        (bound, truncated)
+        bound.map(|b| (b, truncated))
     }
 
     /// Budgeted k-NN: like [`LinearQuadtree::k_nearest_into`], but stops
     /// scanning leaves when `budget` is exhausted and trims the
     /// candidate list to the **guaranteed prefix** of the true answer
     /// under [`knn_cmp`]: only candidates strictly closer than any
-    /// unexamined leaf's nearest possible point survive, so every
+    /// unreached leaf's nearest possible point survive, so every
     /// returned neighbor is a true `i`-th nearest neighbor.
+    ///
+    /// Leaves the scan *pruned* do not cap the prefix: a leaf is pruned
+    /// only when its nearest possible point is farther than the k-th
+    /// candidate at that moment, and that distance only shrinks, so a
+    /// pruned leaf can never undercut a kept candidate. The bound is
+    /// therefore the minimum over the leaves the scan had not reached.
+    /// `truncated_spans` counts every leaf not scanned, pruned ones
+    /// included.
     pub fn k_nearest_bounded_into(
         &self,
         target: &Point2,
@@ -841,66 +832,24 @@ impl LinearQuadtree {
         out: &mut Vec<Point2>,
     ) -> BoundedOutcome {
         out.clear();
-        scratch.best.clear();
-        scratch.visited.clear();
-        let mut cost = QueryCost::default();
-        if k == 0 || self.points.is_empty() {
-            return BoundedOutcome::Complete { visited: cost };
-        }
-        scratch.best.reserve(k + 1);
-        let seed = self.leaf_index_of(target);
-        let mut exhausted = false;
-        let order = seed
-            .into_iter()
-            .chain((0..self.leaves.len()).filter(|i| Some(*i) != seed));
-        for i in order {
-            if Some(i) != seed && scratch.best.len() == k {
-                let worst = scratch.best[k - 1].0;
-                if min_dist_squared(&self.blocks[i], target) > worst {
-                    continue; // pruned: no slab traffic, not charged
-                }
-            }
-            let pts = u64::from(self.leaves[i].points_len);
-            if cost.leaf_visits + 1 > budget.leaf_visits
-                || cost.point_visits + pts > budget.point_visits
-            {
-                exhausted = true;
-                break;
-            }
-            cost.leaf_visits += 1;
-            cost.point_visits += pts;
-            scratch.visited.push((i as u32, false));
-            Self::knn_scan_leaf(
-                self.leaf_points(&self.leaves[i]),
-                target,
-                k,
-                &mut scratch.best,
-            );
-        }
-        if !exhausted {
+        let (visited, exhausted) = self.knn_scan(target, k, budget, scratch);
+        let Some(stop) = exhausted else {
             out.extend(scratch.best.iter().map(|&(_, p)| p));
-            return BoundedOutcome::Complete { visited: cost };
-        }
-        // Every leaf not *scanned* — including ones pruned earlier, whose
-        // lower bounds exceeded a then-current k-th distance — caps the
-        // provable prefix: a candidate survives only if it is strictly
-        // closer than the nearest possible point of every such leaf.
-        let mut scanned: Vec<u32> = scratch.visited.iter().map(|&(i, _)| i).collect();
-        scanned.sort_unstable();
-        let mut bound = f64::INFINITY;
-        let mut truncated = 0usize;
-        let mut next = 0usize;
-        for i in 0..self.leaves.len() {
-            if next < scanned.len() && scanned[next] as usize == i {
-                next += 1;
-                continue;
-            }
-            truncated += 1;
-            let d = min_dist_squared(&self.blocks[i], target);
-            if d < bound {
-                bound = d;
-            }
-        }
+            return BoundedOutcome::Complete { visited };
+        };
+        // Unreached: every leaf from `stop` on, except the seed when it
+        // was scanned first; all of them when the seed itself was
+        // unaffordable.
+        let seed = self.leaf_index_of(target);
+        let from = if seed == Some(stop) { 0 } else { stop };
+        let bound = self
+            .blocks
+            .iter()
+            .enumerate()
+            .skip(from)
+            .filter(|&(j, _)| j == stop || Some(j) != seed)
+            .map(|(_, b)| min_dist_squared(b, target))
+            .fold(f64::INFINITY, f64::min);
         out.extend(
             scratch
                 .best
@@ -909,8 +858,8 @@ impl LinearQuadtree {
                 .map(|&(_, p)| p),
         );
         BoundedOutcome::Partial {
-            visited: cost,
-            truncated_spans: truncated,
+            visited,
+            truncated_spans: self.leaves.len() - visited.leaf_visits as usize,
         }
     }
 
@@ -1109,6 +1058,24 @@ impl LinearQuadtree {
             );
         }
     }
+}
+
+/// Range-sweep accumulators: copy or count a covered leaf whole, or
+/// only the points of a boundary leaf that fall inside the query.
+fn copy_all(points: &[Point2], out: &mut Vec<Point2>) {
+    out.extend_from_slice(points);
+}
+
+fn copy_inside(points: &[Point2], query: &Rect, out: &mut Vec<Point2>) {
+    out.extend(points.iter().filter(|p| query.contains(p)).copied());
+}
+
+fn count_all(points: &[Point2], count: &mut usize) {
+    *count += points.len();
+}
+
+fn count_inside(points: &[Point2], query: &Rect, count: &mut usize) {
+    *count += points.iter().filter(|p| query.contains(p)).count();
 }
 
 /// Smallest squared distance from `p` to any point of `block`.
@@ -1521,6 +1488,112 @@ mod tests {
                 assert!(truncated_spans > 0);
             }
         }
+    }
+
+    fn hash_points(h: &mut Fnv64, pts: &[Point2]) {
+        h.write_u64(pts.len() as u64);
+        for p in pts {
+            h.write_f64(p.x);
+            h.write_f64(p.y);
+        }
+    }
+
+    fn hash_outcome(h: &mut Fnv64, outcome: &BoundedOutcome) {
+        let (variant, truncated) = match *outcome {
+            BoundedOutcome::Complete { .. } => (0, 0),
+            BoundedOutcome::Partial {
+                truncated_spans, ..
+            } => (1, truncated_spans as u64),
+        };
+        let visited = outcome.visited();
+        h.write_u8(variant);
+        h.write_u64(visited.leaf_visits);
+        h.write_u64(visited.point_visits);
+        h.write_u64(truncated);
+    }
+
+    /// Pins every answer the query paths give on a fixed snapshot —
+    /// unbounded range (Morton leaf order), count and k-NN, and the
+    /// budgeted forms with their exact outcomes — across a grid of
+    /// windows, targets and budgets from unbounded down to one leaf and
+    /// four points. Any change to an answer, its order, the work
+    /// charged or the truncation count moves the digest.
+    #[test]
+    fn query_answers_and_outcomes_match_the_pinned_digest() {
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut points = UniformRect::unit().sample_n(&mut rng, 1500);
+        points.extend(
+            UniformRect::new(Rect::from_bounds(0.3, 0.6, 0.34, 0.64)).sample_n(&mut rng, 400),
+        );
+        points.extend([Point2::new(0.5, 0.5); 6]);
+        let tree = PrQuadtree::build(Rect::unit(), 3, points).unwrap();
+        let linear = LinearQuadtree::from_tree(&tree).unwrap();
+
+        let windows = [
+            Rect::from_bounds(0.0, 0.0, 1.0, 1.0),
+            Rect::from_bounds(0.1, 0.2, 0.5, 0.9),
+            Rect::from_bounds(0.29, 0.59, 0.35, 0.65),
+            Rect::from_bounds(0.48, 0.48, 0.52, 0.52),
+            Rect::from_bounds(0.7, 0.05, 0.72, 0.95),
+            Rect::from_bounds(0.001, 0.001, 0.002, 0.002),
+            Rect::from_bounds(2.0, 2.0, 3.0, 3.0),
+        ];
+        let targets = [
+            (Point2::new(0.31, 0.62), 1usize),
+            (Point2::new(0.5, 0.5), 8),
+            (Point2::new(0.9, 0.1), 16),
+            (Point2::new(0.0, 1.0), 32),
+            (Point2::new(0.02, 0.03), 24),
+            (Point2::new(2.0, -1.0), 5),
+        ];
+        let budgets = [
+            CostBudget::unbounded(),
+            CostBudget::new(1200, u64::MAX),
+            CostBudget::new(u64::MAX, 1500),
+            CostBudget::new(64, u64::MAX),
+            CostBudget::new(16, u64::MAX),
+            CostBudget::new(4, u64::MAX),
+            CostBudget::new(1, u64::MAX),
+            CostBudget::new(u64::MAX, 256),
+            CostBudget::new(u64::MAX, 64),
+            CostBudget::new(u64::MAX, 16),
+            CostBudget::new(u64::MAX, 4),
+            CostBudget::new(8, 32),
+        ];
+
+        let mut h = Fnv64::new();
+        let mut scratch = QueryScratch::new();
+        let mut out = Vec::new();
+        for window in &windows {
+            linear.range_query_into(window, &mut scratch, &mut out);
+            hash_points(&mut h, &out);
+            h.write_u64(linear.count_in_range_with(window, &mut scratch) as u64);
+            for budget in &budgets {
+                let outcome =
+                    linear.range_query_bounded_into(window, budget, &mut scratch, &mut out);
+                hash_points(&mut h, &out);
+                hash_outcome(&mut h, &outcome);
+                let (count, outcome) =
+                    linear.count_in_range_bounded_with(window, budget, &mut scratch);
+                h.write_u64(count as u64);
+                hash_outcome(&mut h, &outcome);
+            }
+        }
+        for &(target, k) in &targets {
+            linear.k_nearest_into(&target, k, &mut scratch, &mut out);
+            hash_points(&mut h, &out);
+            for budget in &budgets {
+                let outcome =
+                    linear.k_nearest_bounded_into(&target, k, budget, &mut scratch, &mut out);
+                hash_points(&mut h, &out);
+                hash_outcome(&mut h, &outcome);
+            }
+        }
+        assert_eq!(
+            h.finish(),
+            0x9dcc_4604_6b70_3102,
+            "query answers or outcomes changed"
+        );
     }
 
     #[test]

@@ -111,18 +111,12 @@ impl OccupancyProfile {
     /// Incrementally records one leaf of the given occupancy — O(1)
     /// amortized.
     pub fn record_leaf(&mut self, occupancy: usize) {
-        self.record_leaves(occupancy, 1);
-    }
-
-    /// Records `count` leaves of one occupancy class at once — the bulk
-    /// form the bottom-up builder uses to apply a whole build's tally in
-    /// one pass. Lands on exactly the state `count` repeated
-    /// [`OccupancyProfile::record_leaf`] calls reach.
-    pub fn record_leaves(&mut self, occupancy: usize, count: u64) {
         if occupancy >= self.counts.len() {
             self.counts.resize(occupancy + 1, 0);
         }
-        self.counts[occupancy] += count;
+        if let Some(c) = self.counts.get_mut(occupancy) {
+            *c += 1;
+        }
     }
 
     /// Incrementally removes one previously recorded leaf. Trailing zero
@@ -269,23 +263,18 @@ impl DepthOccupancyTable {
 
     /// Incrementally records one leaf at `depth` with the given occupancy.
     pub fn record(&mut self, depth: u32, occupancy: usize) {
-        self.record_many(depth, occupancy, 1);
-    }
-
-    /// Records `count` leaves of one `(depth, occupancy)` class at once
-    /// — the bulk form the bottom-up builder uses. Lands on exactly the
-    /// state `count` repeated [`DepthOccupancyTable::record`] calls
-    /// reach.
-    pub fn record_many(&mut self, depth: u32, occupancy: usize, count: u64) {
         let d = depth as usize;
         if d >= self.rows.len() {
             self.rows.resize_with(d + 1, Vec::new);
         }
-        let row = &mut self.rows[d];
-        if occupancy >= row.len() {
-            row.resize(occupancy + 1, 0);
+        if let Some(row) = self.rows.get_mut(d) {
+            if occupancy >= row.len() {
+                row.resize(occupancy + 1, 0);
+            }
+            if let Some(c) = row.get_mut(occupancy) {
+                *c += 1;
+            }
         }
-        row[occupancy] += count;
     }
 
     /// Incrementally removes one previously recorded leaf. Rows are trimmed
@@ -401,17 +390,6 @@ impl OccupancyCensus {
         self.profile.record_leaf(occupancy);
         self.table.record(depth, occupancy);
         self.leaves += 1;
-    }
-
-    /// `count` leaves of one `(depth, occupancy)` class came into
-    /// existence at once. Bulk builders tally their leaves locally and
-    /// apply the whole tally through this — one profile/table touch per
-    /// class instead of per leaf — landing on exactly the state `count`
-    /// repeated [`OccupancyCensus::leaf_added`] calls reach.
-    pub fn leaves_added(&mut self, depth: u32, occupancy: usize, count: u64) {
-        self.profile.record_leaves(occupancy, count);
-        self.table.record_many(depth, occupancy, count);
-        self.leaves += count as usize;
     }
 
     /// A leaf with the given depth and occupancy ceased to exist.

@@ -133,22 +133,6 @@ impl PrQuadtree {
         Ok(t)
     }
 
-    /// Builds via the Morton-radix bottom-up bulk path: bit-identical
-    /// to [`PrQuadtree::build`] (same errors, same tree, same census),
-    /// but on grid-exact regions the points are quantized once and the
-    /// tree is emitted from stable radix scatters with zero per-point
-    /// descent. Non-grid-exact regions silently use the level-streaming
-    /// bulk path instead.
-    pub fn build_bottomup(
-        region: Rect,
-        capacity: usize,
-        points: impl IntoIterator<Item = Point2>,
-    ) -> Result<Self, TreeError> {
-        let mut t = Self::new(region, capacity)?;
-        t.tree.bulk_fill_bottomup(points.into_iter().collect())?;
-        Ok(t)
-    }
-
     fn validate_points(
         &self,
         points: impl IntoIterator<Item = Point2>,

@@ -11,10 +11,11 @@
 
 use popan_geom::{Point2, Rect};
 use popan_proptest::prelude::*;
+use popan_spatial::pr_quadtree::DEFAULT_MAX_DEPTH;
 use popan_spatial::reference::BoxedPrQuadtree;
 use popan_spatial::{
-    Bintree, DepthOccupancyTable, OccupancyCensus, OccupancyInstrumented, OccupancyProfile,
-    PrQuadtree,
+    DepthOccupancyTable, DirectFreezeError, LinearQuadtree, OccupancyCensus, OccupancyInstrumented,
+    OccupancyProfile, PrQuadtree,
 };
 
 /// Asserts every observable of the arena tree against the boxed oracle.
@@ -65,7 +66,7 @@ fn arb_coords() -> impl Strategy<Value = Vec<(f64, f64)>> {
 /// dyadic-grid collisions (coincident piles on split boundaries) and
 /// sub-quantum clusters (distinct points sharing one full-resolution
 /// Morton cell, which force max-depth spill leaves at capacity 1 and the
-/// bottom-up path's geometric fallback). Lengths 0 and 1 cover the
+/// direct freeze's geometric fallback). Lengths 0 and 1 cover the
 /// empty/singleton edges.
 fn arb_messy_points() -> impl Strategy<Value = Vec<Point2>> {
     popan_proptest::collection::vec((0u8..10, 0.0f64..1.0, 0.0f64..1.0, 0u8..8, 0u8..8), 0..140)
@@ -94,42 +95,29 @@ proptest! {
     }
 
     #[test]
-    fn bottomup_builds_are_bit_identical(
+    fn messy_builds_match_the_oracle_and_the_direct_freeze(
         points in arb_messy_points(),
         capacity in 1usize..6,
     ) {
-        // Three-way: Morton-radix bottom-up vs level-streaming bulk
-        // vs the boxed oracle — all three must agree bit for bit.
-        let bottomup =
-            PrQuadtree::build_bottomup(Rect::unit(), capacity, points.iter().copied()).unwrap();
-        let bulk = PrQuadtree::build(Rect::unit(), capacity, points.iter().copied()).unwrap();
+        // The arena build must match the boxed oracle on the hard
+        // cases, and the direct freeze (points straight to the linear
+        // form) must equal that build frozen through `from_tree` —
+        // slabs, digests and depth errors alike.
+        let tree = PrQuadtree::build(Rect::unit(), capacity, points.iter().copied()).unwrap();
         let boxed =
             BoxedPrQuadtree::build(Rect::unit(), capacity, points.iter().copied()).unwrap();
-        assert_eq!(bottomup.leaf_records(), bulk.leaf_records());
-        assert_eq!(bottomup.node_count(), bulk.node_count());
-        assert_matches_oracle(&bottomup, &boxed);
-        assert_census_fresh(&bottomup);
-        bottomup.check_invariants();
-    }
-
-    #[test]
-    fn bintree_bottomup_builds_are_bit_identical(
-        points in arb_messy_points(),
-        capacity in 1usize..6,
-    ) {
-        let bottomup =
-            Bintree::build_bottomup(Rect::unit(), capacity, points.iter().copied()).unwrap();
-        let bulk = Bintree::build(Rect::unit(), capacity, points.iter().copied()).unwrap();
-        assert_eq!(bottomup.len(), bulk.len());
-        assert_eq!(bottomup.node_count(), bulk.node_count());
-        let mut a = Vec::new();
-        bottomup.for_each_leaf(|r, d, pts| a.push((r, d, pts.to_vec())));
-        let mut b = Vec::new();
-        bulk.for_each_leaf(|r, d, pts| b.push((r, d, pts.to_vec())));
-        assert_eq!(a, b, "bintree leaf traversal diverged");
-        assert_eq!(bottomup.occupancy_profile(), bulk.occupancy_profile());
-        assert_eq!(bottomup.depth_table(), bulk.depth_table());
-        bottomup.check_invariants();
+        assert_matches_oracle(&tree, &boxed);
+        assert_census_fresh(&tree);
+        let direct =
+            LinearQuadtree::from_points_direct(Rect::unit(), capacity, DEFAULT_MAX_DEPTH, points);
+        match LinearQuadtree::from_tree(&tree) {
+            Ok(via_tree) => {
+                let direct = direct.unwrap();
+                direct.check_invariants();
+                assert_eq!(direct.section_digests(), via_tree.section_digests());
+            }
+            Err(e) => assert_eq!(direct.unwrap_err(), DirectFreezeError::Freeze(e)),
+        }
     }
 
     #[test]
