@@ -215,27 +215,40 @@ pub fn lint_workspace(root: &Path, config: &LintConfig) -> Result<Report, ScanEr
     Ok(rules_phase(config, &set, &mut scans, &table, &graph))
 }
 
-/// The workspace's manifests, workspace-relative.
+/// The workspace's manifests, workspace-relative: the root, every
+/// `crates/*` member, then every top-level package that builds against
+/// the members by path without joining the workspace (`perfbench/`), so
+/// its sources are attributed to their own package, not the root's.
 fn manifest_paths(root: &Path) -> Result<Vec<String>, ScanError> {
     let mut out = vec!["Cargo.toml".to_string()];
-    let crates = root.join("crates");
-    if crates.is_dir() {
-        let entries = std::fs::read_dir(&crates)
-            .map_err(|e| ScanError::Io(format!("{}: {e}", crates.display())))?;
-        let mut names: Vec<String> = Vec::new();
-        for entry in entries {
-            let entry = entry.map_err(|e| ScanError::Io(e.to_string()))?;
-            if entry.path().join("Cargo.toml").is_file() {
-                names.push(format!(
-                    "crates/{}/Cargo.toml",
-                    entry.file_name().to_string_lossy()
-                ));
-            }
-        }
-        names.sort();
-        out.extend(names);
-    }
+    out.extend(child_manifests(root, "crates")?);
+    out.extend(child_manifests(root, "")?);
     Ok(out)
+}
+
+/// `<dir>/<child>/Cargo.toml` for every non-hidden child of `dir` that
+/// has one, sorted (`dir` is workspace-relative; empty is the root).
+fn child_manifests(root: &Path, dir: &str) -> Result<Vec<String>, ScanError> {
+    let path = root.join(dir);
+    if !path.is_dir() {
+        return Ok(Vec::new());
+    }
+    let entries =
+        std::fs::read_dir(&path).map_err(|e| ScanError::Io(format!("{}: {e}", path.display())))?;
+    let mut names: Vec<String> = Vec::new();
+    for entry in entries {
+        let entry = entry.map_err(|e| ScanError::Io(e.to_string()))?;
+        let name = entry.file_name().to_string_lossy().into_owned();
+        if !name.starts_with('.') && entry.path().join("Cargo.toml").is_file() {
+            names.push(if dir.is_empty() {
+                format!("{name}/Cargo.toml")
+            } else {
+                format!("{dir}/{name}/Cargo.toml")
+            });
+        }
+    }
+    names.sort();
+    Ok(names)
 }
 
 /// Which package owns a workspace-relative file.
@@ -292,5 +305,26 @@ mod tests {
         );
         assert_eq!(package_for(&dirs, "src/lib.rs"), "popan");
         assert_eq!(package_for(&dirs, "tests/end_to_end.rs"), "popan");
+    }
+
+    #[test]
+    fn nested_top_level_packages_own_their_sources() {
+        let root = find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR"))).unwrap();
+        let paths = manifest_paths(&root).unwrap();
+        assert_eq!(paths.first().map(String::as_str), Some("Cargo.toml"));
+        assert!(paths.contains(&"crates/lint/Cargo.toml".to_string()));
+        assert!(paths.contains(&"perfbench/Cargo.toml".to_string()));
+        let set = load_sources(&root, &load_config(&root).unwrap()).unwrap();
+        let owner = |rel: &str| {
+            set.files
+                .iter()
+                .find(|f| f.rel == rel)
+                .map(|f| f.package.clone())
+        };
+        assert_eq!(
+            owner("perfbench/src/main.rs").as_deref(),
+            Some("popan-perfbench")
+        );
+        assert_eq!(owner("src/lib.rs").as_deref(), Some("popan"));
     }
 }

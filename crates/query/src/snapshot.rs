@@ -143,15 +143,19 @@ impl Snapshot {
     /// Recomputes the section digests and checks them against the
     /// freeze-time values. `Ok(())` means every slab is bit-identical
     /// to what was frozen; otherwise the error names each damaged
-    /// section. Cost is one linear pass over the slabs — cheap enough
-    /// to run on every publish.
+    /// section. The Morton prefix directory is derived data in no
+    /// digest: it is re-derived from the leaf slab instead, and a
+    /// mismatch is reported as [`SnapshotSection::Leaves`] damage. Cost
+    /// is one linear pass over the slabs — cheap enough to run on every
+    /// publish.
     pub fn verify(&self) -> Result<(), SnapshotCorruption> {
         let actual = self.index.section_digests();
-        if actual == self.digests {
+        let directory_ok = self.index.directory_is_consistent();
+        if actual == self.digests && directory_ok {
             return Ok(());
         }
         let mut damaged = Vec::new();
-        if actual.leaves != self.digests.leaves {
+        if actual.leaves != self.digests.leaves || !directory_ok {
             damaged.push(SnapshotSection::Leaves);
         }
         if actual.blocks != self.digests.blocks {
@@ -442,6 +446,34 @@ mod tests {
     }
 
     #[test]
+    fn verify_catches_a_damaged_prefix_directory() {
+        let snap = Snapshot::from_points(
+            4,
+            Rect::unit(),
+            2,
+            (0..40).map(|i| Point2::new((i as f64 + 0.5) / 40.0, (i as f64 * 0.37) % 1.0)),
+        )
+        .unwrap();
+        snap.verify().expect("pristine snapshot verifies");
+        // Entry 0, entry 4095 and the closing entry: the directory is in
+        // no digest, so only its re-derivation can see the damage.
+        for bit in [3u64, 4095 * 32, 4096 * 32 + 1] {
+            let mut damaged = snap.clone();
+            damaged.index.corrupt_directory_bit(bit);
+            assert_eq!(damaged.index.section_digests(), snap.digests());
+            let report = damaged.verify().unwrap_err();
+            assert_eq!(report.epoch, 4);
+            assert_eq!(
+                report.damaged,
+                vec![popan_spatial::SnapshotSection::Leaves],
+                "{report}"
+            );
+            assert_eq!(report.actual, report.expected, "digests are untouched");
+        }
+        snap.verify().unwrap();
+    }
+
+    #[test]
     fn epoch_restamp_preserves_the_checksum() {
         let snap = Snapshot::from_points(0, Rect::unit(), 4, [Point2::new(0.5, 0.5)]).unwrap();
         let digests = snap.digests();
@@ -469,9 +501,12 @@ mod tests {
         // heap_bytes is the sum of the per-slab footprints — no slab
         // missing, none double-counted.
         let fp = snap.footprint();
-        assert_eq!(stats.heap_bytes(), fp.leaves + fp.blocks + fp.points);
+        assert_eq!(
+            stats.heap_bytes(),
+            fp.leaves + fp.blocks + fp.points + fp.directory
+        );
         assert_eq!(snap.heap_bytes(), stats.heap_bytes());
-        assert!(fp.leaves > 0 && fp.blocks > 0 && fp.points > 0);
+        assert!(fp.leaves > 0 && fp.blocks > 0 && fp.points > 0 && fp.directory > 0);
     }
 
     #[test]

@@ -175,7 +175,11 @@ fn snapshot_footprint_regression() {
     for n in [1usize, 17, 256] {
         let snap = uniform_snapshot(n as u64, n, 2);
         let fp = snap.footprint();
-        assert_eq!(snap.heap_bytes(), fp.leaves + fp.blocks + fp.points);
+        assert_eq!(
+            snap.heap_bytes(),
+            fp.leaves + fp.blocks + fp.points + fp.directory
+        );
+        assert_eq!(fp.directory, 4097 * std::mem::size_of::<u32>());
         assert_eq!(fp.points, n * std::mem::size_of::<Point2>());
         assert_eq!(fp.blocks, snap.leaf_count() * std::mem::size_of::<Rect>());
         assert!(fp.leaves > 0 && fp.leaves.is_multiple_of(snap.leaf_count()));

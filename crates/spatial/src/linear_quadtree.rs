@@ -4,8 +4,10 @@
 //! paper builds on (Gargantini's linear quadtrees; Samet's survey
 //! \[Same84a\]): instead of pointer nodes, store one record per *leaf*,
 //! keyed by its locational code — the Morton prefix of its block — in
-//! sorted order. Point lookup is then a binary search, the whole index is
-//! three flat allocations, and the structure is trivially serializable.
+//! sorted order. Point lookup is then a search over sorted codes, the
+//! whole index is four flat allocations (three slabs and a small prefix
+//! directory derived from them), and the structure is trivially
+//! serializable.
 //!
 //! [`LinearQuadtree`] is built by freezing a [`crate::PrQuadtree`]; the
 //! two answer queries identically (tested), with the linear form trading
@@ -26,6 +28,11 @@
 //!   the `k` nearest points under the canonical
 //!   `(distance², Point2::canonical_cmp)` order, so coincident-point and
 //!   equidistant ties resolve identically on every backend.
+//! * **One leaf search.** Every query reaches its leaves through
+//!   [`LinearQuadtree::leaf_search`]: a freeze-time Morton prefix
+//!   directory (one entry per depth-6 block, 16 KB) bounds the search
+//!   to one prefix's run of leaves, and the search gallops from the
+//!   caller's cursor inside it.
 //! * **Zero-allocation serving.** The `_into` variants write into
 //!   caller-owned buffers and a reusable [`QueryScratch`]; after warmup
 //!   a query batch performs no heap allocation (pinned by
@@ -71,6 +78,17 @@ impl std::error::Error for FreezeError {}
 /// queries, shallow enough that the span list stays a few hundred
 /// entries (it grows with the query perimeter, O(2^depth) worst case).
 pub const RANGE_DECOMPOSE_DEPTH: u32 = 8;
+
+/// Depth of the Morton prefix directory built at freeze: one entry per
+/// depth-6 block (4,096 of them, plus a closing entry — 16 KB of `u32`s).
+pub const DIRECTORY_DEPTH: u32 = 6;
+
+/// A full-resolution code's directory cell is `code >> DIRECTORY_SHIFT`.
+const DIRECTORY_SHIFT: u32 = 2 * (morton::MORTON_BITS - DIRECTORY_DEPTH);
+
+/// Number of directory entries: one per depth-6 prefix plus the closing
+/// entry (the slab length on a tiling slab).
+const DIRECTORY_LEN: usize = (1 << (2 * DIRECTORY_DEPTH)) + 1;
 
 /// Reusable buffers for the allocation-free query paths. One scratch per
 /// reader thread; contents are meaningless between calls.
@@ -139,12 +157,14 @@ pub struct SlabFootprint {
     pub blocks: usize,
     /// Bytes held by the point slab.
     pub points: usize,
+    /// Bytes held by the Morton prefix directory (derived at freeze).
+    pub directory: usize,
 }
 
 impl SlabFootprint {
     /// Total heap bytes across every slab.
     pub fn total(&self) -> usize {
-        self.leaves + self.blocks + self.points
+        self.leaves + self.blocks + self.points + self.directory
     }
 }
 
@@ -298,6 +318,11 @@ pub struct LinearQuadtree {
     blocks: Vec<Rect>,
     /// All points, grouped by leaf.
     points: Vec<Point2>,
+    /// The Morton prefix directory ([`prefix_directory`]): entry `q` is
+    /// the first leaf whose `code_hi` passes the start of depth-6 prefix
+    /// `q`. Derived from `leaves` at freeze and never digested; `verify`
+    /// and [`LinearQuadtree::check_invariants`] re-derive it instead.
+    directory: Vec<u32>,
 }
 
 /// The canonical k-NN candidate order: squared distance first
@@ -356,6 +381,7 @@ impl LinearQuadtree {
         points.shrink_to_fit();
         Ok(LinearQuadtree {
             region,
+            directory: prefix_directory(&leaves).collect(),
             leaves,
             blocks,
             points,
@@ -381,6 +407,7 @@ impl LinearQuadtree {
         points.shrink_to_fit();
         LinearQuadtree {
             region,
+            directory: prefix_directory(&leaves).collect(),
             leaves,
             blocks,
             points,
@@ -421,26 +448,40 @@ impl LinearQuadtree {
         &self.points[l.points_start as usize..(l.points_start + l.points_len) as usize]
     }
 
+    /// The one leaf search behind every snapshot query: the first leaf
+    /// at or after `from` whose `code_hi` passes `code`. On a tiling
+    /// slab that is `max(from, leaves.partition_point(|l| l.code_hi <=
+    /// code))`, and with `from = 0` it is the leaf containing `code`.
+    ///
+    /// The directory bounds the answer to the leaves between the entries
+    /// of `code`'s depth-6 prefix and the next one; the search gallops
+    /// from `max(from, that first entry)`, so a sweep whose cursor is
+    /// already past the entry pays O(log distance), not O(log leaves).
+    /// Only `get` and slice-safe forms: on any slab, sorted or not, the
+    /// result lies in `[from, max(from, len)]`.
+    pub fn leaf_search(&self, from: usize, code: u64) -> usize {
+        let len = self.leaves.len();
+        let entry = |q: usize| self.directory.get(q).map_or(len, |&i| len.min(i as usize));
+        let q = (code >> DIRECTORY_SHIFT) as usize;
+        let lo = from.max(entry(q));
+        let run = self.leaves.get(lo..entry(q + 1)).unwrap_or_default();
+        lo + gallop(run, |l| l.code_hi <= code)
+    }
+
     fn leaf_index_of(&self, p: &Point2) -> Option<usize> {
         if !self.region.contains(p) {
             return None;
         }
         let code = morton::morton_of_point(p, &self.region);
-        // Last leaf with code_lo <= code.
-        let idx = self.leaves.partition_point(|l| l.code_lo <= code);
-        if idx == 0 {
-            return None;
-        }
-        let leaf = &self.leaves[idx - 1];
-        debug_assert!(code < leaf.code_hi, "leaf ranges must tile the space");
-        Some(idx - 1)
+        let i = self.leaf_search(0, code);
+        self.leaves.get(i).filter(|l| l.code_lo <= code).map(|_| i)
     }
 
     /// The points stored in the leaf block containing `p` (empty slice
     /// when `p` is outside the region).
     pub fn block_points(&self, p: &Point2) -> &[Point2] {
-        match self.leaf_index_of(p) {
-            Some(i) => self.leaf_points(&self.leaves[i]),
+        match self.leaf_index_of(p).and_then(|i| self.leaves.get(i)) {
+            Some(l) => self.leaf_points(l),
             None => &[],
         }
     }
@@ -452,7 +493,9 @@ impl LinearQuadtree {
 
     /// The depth of the leaf block containing `p`.
     pub fn block_depth(&self, p: &Point2) -> Option<u32> {
-        self.leaf_index_of(p).map(|i| self.leaves[i].depth)
+        self.leaf_index_of(p)
+            .and_then(|i| self.leaves.get(i))
+            .map(|l| l.depth)
     }
 
     /// All stored points inside `query` (allocating convenience form of
@@ -504,8 +547,8 @@ impl LinearQuadtree {
     /// Counts stored points inside `query`: the budgeted sweep under
     /// [`CostBudget::unbounded`]. Leaves wholly inside a covered span
     /// are counted off the flat offsets — their points are never
-    /// touched — so counts over large rectangles cost O(spans · log
-    /// leaves + boundary points).
+    /// touched — so counts over large rectangles cost one directory
+    /// lookup and a short gallop per span plus the boundary points.
     pub fn count_in_range_with(&self, query: &Rect, scratch: &mut QueryScratch) -> usize {
         let mut count = 0usize;
         self.range_sweep(
@@ -551,8 +594,7 @@ impl LinearQuadtree {
             // never moves backwards: spans ascend and a leaf processed
             // under an earlier span was filtered against the full query,
             // so re-visiting it would double-report.
-            let rest = self.leaves.get(cursor..).unwrap_or_default();
-            cursor += rest.partition_point(|l| l.code_hi <= span.lo);
+            cursor = self.leaf_search(cursor, span.lo);
             while let Some(l) = self.leaves.get(cursor).filter(|l| l.code_lo < span.hi) {
                 let pts = u64::from(l.points_len);
                 if cost.leaf_visits + 1 > budget.leaf_visits
@@ -784,8 +826,7 @@ impl LinearQuadtree {
         let mut bound: Option<Point2> = None;
         let mut truncated = 0usize;
         for span in scratch.spans.get(si..).unwrap_or_default() {
-            let rest = self.leaves.get(cursor..).unwrap_or_default();
-            cursor += rest.partition_point(|l| l.code_hi <= span.lo);
+            cursor = self.leaf_search(cursor, span.lo);
             while let Some((_, b)) = self
                 .leaves
                 .get(cursor)
@@ -878,7 +919,19 @@ impl LinearQuadtree {
             leaves: self.leaves.capacity() * std::mem::size_of::<LeafEntry>(),
             blocks: self.blocks.capacity() * std::mem::size_of::<Rect>(),
             points: self.points.capacity() * std::mem::size_of::<Point2>(),
+            directory: self.directory.capacity() * std::mem::size_of::<u32>(),
         }
+    }
+
+    /// `true` when the prefix directory equals its re-derivation from
+    /// the leaf slab. The directory is derived data and in no digest, so
+    /// `Snapshot::verify` checks it this way and reports a mismatch as
+    /// leaf-slab damage.
+    pub fn directory_is_consistent(&self) -> bool {
+        self.directory
+            .iter()
+            .copied()
+            .eq(prefix_directory(&self.leaves))
     }
 
     /// Digests of the frozen slabs (DESIGN.md §12): one per section
@@ -1031,9 +1084,20 @@ impl LinearQuadtree {
         true
     }
 
+    /// **Fault-injection machinery** — flips one bit of the prefix
+    /// directory (taken modulo its bit width), leaving every slab and
+    /// digest intact, so tests can prove that `Snapshot::verify` catches
+    /// damage to derived data no digest covers.
+    pub fn corrupt_directory_bit(&mut self, bit: u64) {
+        let b = bit % (DIRECTORY_LEN as u64 * 32);
+        if let Some(entry) = self.directory.get_mut((b / 32) as usize) {
+            *entry ^= 1 << (b % 32);
+        }
+    }
+
     /// Verifies that leaf ranges are sorted, disjoint, and tile the full
-    /// Morton range, and that blocks stay parallel to leaves; panics on
-    /// violation.
+    /// Morton range, that blocks stay parallel to leaves, and that the
+    /// prefix directory equals its re-derivation; panics on violation.
     pub fn check_invariants(&self) {
         assert!(!self.leaves.is_empty(), "at least the root leaf exists");
         assert_eq!(self.leaves.len(), self.blocks.len(), "blocks track leaves");
@@ -1057,7 +1121,43 @@ impl LinearQuadtree {
                 "block corner must reproduce the locational code"
             );
         }
+        assert!(
+            self.directory_is_consistent(),
+            "prefix directory must equal its re-derivation"
+        );
     }
+}
+
+/// The prefix directory of a Morton-sorted leaf slab, entry by entry:
+/// entry `q` is the first leaf whose `code_hi` passes `q <<
+/// DIRECTORY_SHIFT`, the first code of depth-6 prefix `q`, for `q` in
+/// `0..=4096` (the closing entry is the slab length). One merge pass,
+/// O(leaves + 4096): collected at freeze, compared in place at `verify`.
+fn prefix_directory(leaves: &[LeafEntry]) -> impl Iterator<Item = u32> + '_ {
+    let mut i = 0usize;
+    (0..DIRECTORY_LEN as u64).map(move |q| {
+        let start = q << DIRECTORY_SHIFT;
+        while leaves.get(i).is_some_and(|l| l.code_hi <= start) {
+            i += 1;
+        }
+        i as u32
+    })
+}
+
+/// Exponential search: the partition point of `pred` over `run` (the
+/// first index where it fails, given it holds on a prefix). Probes at
+/// gaps 1, 2, 4, … from the front and binary-searches only the last
+/// bracket, so an answer `d` places in costs O(log d). Panic-free on any
+/// input; the result is in `[0, run.len()]`.
+fn gallop<T>(run: &[T], pred: impl Fn(&T) -> bool) -> usize {
+    let mut base = 0usize;
+    let mut step = 1usize;
+    while run.get(base + step - 1).is_some_and(&pred) {
+        base += step;
+        step *= 2;
+    }
+    let end = run.len().min(base + step);
+    base + run.get(base..end).map_or(0, |r| r.partition_point(&pred))
 }
 
 /// Range-sweep accumulators: copy or count a covered leaf whole, or
@@ -1331,8 +1431,9 @@ mod tests {
         let (_, linear) = build_pair(1000, 4, 7);
         let bytes = linear.heap_bytes();
         assert!(bytes > 0);
-        // Flat arrays: points (16 bytes each), leaves ~32 bytes, blocks 32.
-        assert!(bytes < 1000 * 16 + linear.leaf_count() * 96 + 1024);
+        // Flat arrays: points (16 bytes each), leaves ~32 bytes, blocks
+        // 32, plus the fixed 16 KB prefix directory.
+        assert!(bytes < 1000 * 16 + linear.leaf_count() * 96 + DIRECTORY_LEN * 4 + 1024);
     }
 
     #[test]
@@ -1364,6 +1465,16 @@ mod tests {
             fp.leaves,
             linear.leaf_count() * std::mem::size_of::<LeafEntry>(),
             "leaf slab"
+        );
+        assert_eq!(
+            fp.directory,
+            DIRECTORY_LEN * std::mem::size_of::<u32>(),
+            "prefix directory"
+        );
+        assert_eq!(
+            fp.total(),
+            fp.leaves + fp.blocks + fp.points + fp.directory,
+            "total counts every slab"
         );
         assert_eq!(linear.heap_bytes(), fp.total());
     }
